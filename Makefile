@@ -44,20 +44,21 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzMetricsSnapshot -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=^$$ -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenarios
 
-# The fault-injection suite under the race detector: corrupted-corpus
-# ingestion, the kill/resume crash-equivalence suite, parallel-runner
+# The fault-injection suite under the race detector: the crash-safe
+# write primitive, corrupted-corpus ingestion, the kill/resume
+# crash-equivalence suite, parallel-runner
 # determinism (including the mid-run cancellation regression), hot
 # reload under load, the serving engine's cache/batch/reload/deadline/
 # breaker races plus its goroutine-leak check, the probe breaker, the
 # SIGHUP-under-loadgen-traffic e2es (good and alternating-corrupt),
 # and the chaos layer itself (reader, HTTP transport, TCP proxy).
 chaos-race:
-	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs
+	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
 	go test -race -run 'TestRunStudyConfig' ./internal/core
 	go test -race -run 'TestHotReload|TestLoadShedding|TestPanicRecovery|TestHealth|TestRetryAfter|TestReloadGeneration|TestReloadFile|TestSmokeValidate|TestCache|TestBatch|TestConcurrentLoad|TestDeadline|TestBreaker|TestShed|TestGoroutineLeak' ./internal/offnetserve
 	go test -race -run 'TestProbeBreaker' ./internal/probe
-	go test -race -run 'TestGenLog|TestNewBuilderFrom' ./internal/footstore
+	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSaveReplacesAtomically' ./internal/footstore
 	go test -race -run 'TestWave' ./internal/waves
 	go test -race -run 'TestWatchGenLog' ./internal/offnetserve
 	go test -race -run 'TestSIGHUP|TestServerTimeout|TestGenlogMode' ./cmd/offnetd

@@ -279,76 +279,3 @@ func TestOffnetmapWithDatasetFiles(t *testing.T) {
 			plain.String(), withDS.String())
 	}
 }
-
-// TestOffnetmapChunkInvariance pins the -chunk determinism contract end
-// to end: a growth run that streams the corpus in record batches — even
-// one record per batch, and combined with worker and shard parallelism
-// — must produce byte-identical study output and metrics counters to
-// the materializing read (-chunk 0).
-func TestOffnetmapChunkInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a corpus on disk")
-	}
-	dir := t.TempDir()
-	if err := worldgenEquivalent(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	counters := func(path string) []byte {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := obs.ParseSnapshot(raw)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", path, err)
-		}
-		out, err := json.Marshal(snap.Counters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	runOnce := func(name string, extra ...string) ([]byte, string) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		var out strings.Builder
-		args := append([]string{"-corpus", dir, "-growth", "-metrics", path, "-v"}, extra...)
-		if err := run(context.Background(), args, &out); err != nil {
-			t.Fatal(err)
-		}
-		return counters(path), out.String()
-	}
-	norm := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if !strings.HasPrefix(line, "wrote metrics ") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-
-	mat, matText := runOnce("chunk0.json", "-chunk", "0", "-jobs", "1", "-shards", "1")
-	one, oneText := runOnce("chunk1.json", "-chunk", "1", "-jobs", "1", "-shards", "1")
-	def, defText := runOnce("chunkdef.json", "-jobs", "2", "-shards", "2")
-	if !reflect.DeepEqual(mat, one) {
-		t.Errorf("counters differ between -chunk 0 and -chunk 1:\n%s\n%s", mat, one)
-	}
-	if !reflect.DeepEqual(mat, def) {
-		t.Errorf("counters differ between -chunk 0 and the default chunk under -jobs 2 -shards 2:\n%s\n%s", mat, def)
-	}
-	if a, b := norm(matText), norm(oneText); a != b {
-		t.Errorf("stdout differs between -chunk 0 and -chunk 1:\n%s\n%s", a, b)
-	}
-	if a, b := norm(matText), norm(defText); a != b {
-		t.Errorf("stdout differs between -chunk 0 and the default chunk under -jobs 2 -shards 2:\n%s\n%s", a, b)
-	}
-
-	var discard strings.Builder
-	err := run(context.Background(), []string{"-corpus", dir, "-growth", "-chunk", "-1"}, &discard)
-	if err == nil || !strings.Contains(err.Error(), "-chunk") {
-		t.Errorf("-chunk -1 should be a usage error, got: %v", err)
-	}
-}

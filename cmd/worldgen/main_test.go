@@ -72,6 +72,12 @@ func TestWorldgenRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-out", t.TempDir(), "-vendors", "nsa"}, &out); err == nil {
 		t.Error("unknown vendor should fail")
 	}
+	// A world too small for the AS topology's tiers is an error naming
+	// the minimum scale, not a panic.
+	err := run([]string{"-out", t.TempDir(), "-scale", "0.001"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "minimum scale 0.001536") {
+		t.Errorf("-scale 0.001: err = %v, want one naming the minimum scale", err)
+	}
 }
 
 func TestWorldgenDatasets(t *testing.T) {

@@ -42,6 +42,19 @@ var lateGrowthBoost = map[Continent]float64{
 	Oceania:      0.8,
 }
 
+// Every generated graph has at least this many ASes in each non-stub
+// tier, whatever its size.
+const (
+	minXLarge = 3
+	minLarge  = 6
+	minMedium = 20
+	minSmall  = 80
+
+	// MinFinalASes is the smallest GenConfig.FinalASes the tier
+	// floors fit in; Generate needs at least this many.
+	MinFinalASes = minXLarge + minLarge + minMedium + minSmall
+)
+
 // Generate builds a synthetic AS graph: a tiered customer-provider DAG
 // whose per-snapshot category shares land near the real Internet's
 // (~85 % Stub, ~12 % Small, ~2.6 % Medium, <0.5 % Large, <0.1 % XLarge),
@@ -59,10 +72,10 @@ func Generate(cfg GenConfig) *Graph {
 	g := NewGraph()
 
 	n := cfg.FinalASes
-	xlargeN := maxInt(3, n*8/10000)  // ~0.08 %
-	largeN := maxInt(6, n*45/10000)  // ~0.45 %
-	mediumN := maxInt(20, n*26/1000) // ~2.6 %
-	smallN := maxInt(80, n*12/100)   // ~12 %
+	xlargeN := maxInt(minXLarge, n*8/10000) // ~0.08 %
+	largeN := maxInt(minLarge, n*45/10000)  // ~0.45 %
+	mediumN := maxInt(minMedium, n*26/1000) // ~2.6 %
+	smallN := maxInt(minSmall, n*12/100)    // ~12 %
 	stubN := n - xlargeN - largeN - mediumN - smallN
 
 	last := timeline.Snapshot(timeline.Count() - 1)

@@ -34,11 +34,17 @@ func BenchmarkStageValidate(b *testing.B) {
 	mapper := p.Mapper(snap.Snapshot)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := &Result{InvalidByReason: make(map[string]int), PerHG: make(map[hg.ID]*HGResult)}
-		if recs := p.validate(snap, res, mapper); len(recs) == 0 {
+		part := p.validateRange(snap.Certs, snap.ScanTime(), mapper)
+		if len(part.records) == 0 {
 			b.Fatal("no validated records")
 		}
+		p.putShardScratch(part)
 	}
+}
+
+// validatedRecords runs step 1 over the whole snapshot as one range.
+func validatedRecords(p *Pipeline, snap *corpus.Snapshot) []record {
+	return p.validateRange(snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot)).records
 }
 
 // BenchmarkStageCertMatch measures steps 2–3 — fingerprint learning,
@@ -47,8 +53,7 @@ func BenchmarkStageValidate(b *testing.B) {
 func BenchmarkStageCertMatch(b *testing.B) {
 	p := testPipeline(Options{HeaderMode: CertsOnly})
 	snap := benchSnapshot(b)
-	res := &Result{InvalidByReason: make(map[string]int), PerHG: make(map[hg.ID]*HGResult)}
-	records := p.validate(snap, res, p.Mapper(snap.Snapshot))
+	records := validatedRecords(p, snap)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hr := p.runHG(hg.Get(hg.Google), lastSnap, records, nil, nil)
@@ -63,8 +68,7 @@ func BenchmarkStageCertMatch(b *testing.B) {
 func BenchmarkStageHeaderConfirm(b *testing.B) {
 	p := testPipeline(DefaultOptions())
 	snap := benchSnapshot(b)
-	res := &Result{InvalidByReason: make(map[string]int), PerHG: make(map[hg.ID]*HGResult)}
-	records := p.validate(snap, res, p.Mapper(snap.Snapshot))
+	records := validatedRecords(p, snap)
 	httpsIdx := snap.HTTPSHeadersByIP()
 	httpIdx := snap.HTTPHeadersByIP()
 	h := hg.Get(hg.Google)
@@ -114,8 +118,8 @@ func benchStudy(b *testing.B, jobs int) {
 	profile := scanners.Rapid7Profile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sr, err := p.RunStudyConfig(context.Background(), func(_ context.Context, s timeline.Snapshot) (*corpus.Snapshot, error) {
-			return scanners.Scan(testWorld, profile, s), nil
+		sr, err := p.RunStudyStream(context.Background(), func(_ context.Context, s timeline.Snapshot) (*corpus.Stream, error) {
+			return corpus.StreamOf(scanners.Scan(testWorld, profile, s), 0), nil
 		}, StudyConfig{Jobs: jobs})
 		if err != nil {
 			b.Fatal(err)
@@ -132,12 +136,11 @@ func benchStudy(b *testing.B, jobs int) {
 func BenchmarkStudyJobs1(b *testing.B) { benchStudy(b, 1) }
 func BenchmarkStudyJobs4(b *testing.B) { benchStudy(b, 4) }
 
-// BenchmarkStudyStreaming is the same 31-snapshot study driven through
-// the streaming engine: RunStudyStream over scanner-synthesized record
-// batches at the default chunk size, with records validated as batches
-// arrive instead of materializing each month's corpus first. Its
-// bytes/op against BenchmarkStudyJobs4 is the memory headroom the
-// -chunk flag buys; the output is identical per the golden suite.
+// BenchmarkStudyStreaming is the same 31-snapshot study over
+// scanners.ScanStream's synthesized record batches, so no month's
+// corpus is ever materialized. Its bytes/op against BenchmarkStudyJobs4
+// is the memory a fully streamed source saves; the output is identical
+// per the golden suite.
 func BenchmarkStudyStreaming(b *testing.B) {
 	p := testPipeline(DefaultOptions())
 	profile := scanners.Rapid7Profile()

@@ -10,27 +10,25 @@ import (
 	"offnetscope/internal/netmodel"
 )
 
-// This file is the streaming half of the §4 inference: the same five
-// methodology steps, fed by corpus.Stream record batches instead of a
-// materialized Snapshot. Memory stays bounded by the chunk size plus
-// the compact validated working set (one record struct per valid
-// certificate observation — the two-pass §4.2/§4.3 scan needs it), not
-// by the wire-format corpus: chains, header slices, and the snapshot's
-// giant record slices never materialize at once.
+// This file is the front half of the §4 inference: corpus.Stream
+// record batches are validated as they arrive, then the folded records
+// go through the match/confirm half. Memory stays bounded by the chunk
+// size plus the compact validated working set (one record struct per
+// valid certificate observation — the two-pass §4.2/§4.3 scan needs
+// it), not by the wire-format corpus: chains, header slices, and a
+// month's giant record slices never materialize at once.
 //
 // Determinism contract: batches arrive in record order and each batch's
 // shard partials fold in shard order, so the overall fold order is
-// (chunk, shard) — lexicographically identical to the record order the
-// materializing path sees. Every counter merges by commutative
-// addition/union and every list concatenates in that order, which is
-// why RunStream is byte-identical to Run at any jobs × shards × chunk
-// combination (pinned by TestGoldenChunkInvariance).
+// (chunk, shard) — lexicographically the record order. Every counter
+// merges by commutative addition/union and every list concatenates in
+// that order, which is why the output is byte-identical at any
+// jobs × shards × chunk combination (pinned by the golden suite).
 
 // RunStream executes the methodology over one streamed corpus
 // snapshot. The error is the stream's: record-level damage accounting
 // happened inside the stream per its ReadOptions, and a surfaced error
-// means the month must be dropped exactly as a failed ReadWithStats
-// would have been.
+// means the month must be dropped.
 func (p *Pipeline) RunStream(st *corpus.Stream) (*Result, error) {
 	inf, err := p.InferSnapshotStream(st)
 	if err != nil {
@@ -39,12 +37,12 @@ func (p *Pipeline) RunStream(st *corpus.Stream) (*Result, error) {
 	return inf.Result, nil
 }
 
-// InferSnapshotStream is InferSnapshot over a corpus.Stream: it drives
-// all three record streams to completion — mirroring ReadWithStats'
-// one-goroutine-per-file concurrency, and guaranteeing the stream's
-// read accounting always finalizes — validating certificate batches
-// through the shard workers as they arrive, then runs the shared
-// match/confirm half on the folded records.
+// InferSnapshotStream runs the full §4 inference over a corpus.Stream
+// and captures the envelope inputs. It drives all three record streams
+// to completion, one goroutine each — guaranteeing the stream's read
+// accounting always finalizes — validating certificate batches through
+// the shard workers as they arrive, then runs the match/confirm half
+// on the folded records.
 func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, error) {
 	m := p.Metrics
 	runStart := time.Now()
@@ -120,7 +118,7 @@ func (p *Pipeline) InferSnapshotStream(st *corpus.Stream) (*SnapshotInference, e
 		})
 	}()
 	wg.Wait()
-	// Error precedence follows the fixed file order, like ReadWithStats.
+	// Error precedence follows the fixed file order.
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

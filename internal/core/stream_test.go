@@ -8,22 +8,26 @@ import (
 	"offnetscope/internal/corpus"
 )
 
-// TestInferSnapshotStreamMatchesInferSnapshot pins the streamed
-// inference to the materialized one at the unit level: the complete
-// SnapshotInference — every Result field, the HTTP-only set, and the
-// Netflix memory lookups — must be deeply equal at any chunk size,
-// including a chunk of one record per batch.
+// TestInferSnapshotStreamMatchesInferSnapshot pins chunk invariance at
+// the unit level: the complete SnapshotInference — every Result field,
+// the HTTP-only set, and the Netflix memory lookups — must be deeply
+// equal to InferSnapshot's default-chunk inference at chunks of one
+// and seven records per batch.
 func TestInferSnapshotStreamMatchesInferSnapshot(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())
 	want := p.InferSnapshot(snap)
-	for _, chunk := range []int{1, 7, 0, 1 << 20} {
+	if want.Result.TotalCertIPs != len(snap.Certs) || len(want.HTTPOnlyIPs) == 0 {
+		t.Fatalf("default-chunk inference saw %d of %d certs, %d HTTP-only IPs",
+			want.Result.TotalCertIPs, len(snap.Certs), len(want.HTTPOnlyIPs))
+	}
+	for _, chunk := range []int{1, 7} {
 		got, err := p.InferSnapshotStream(corpus.StreamOf(snap, chunk))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
 		if !reflect.DeepEqual(got.Result, want.Result) {
-			t.Errorf("chunk=%d: Result diverges from the materialized inference", chunk)
+			t.Errorf("chunk=%d: Result diverges from the default-chunk inference", chunk)
 		}
 		if !reflect.DeepEqual(got.HTTPOnlyIPs, want.HTTPOnlyIPs) {
 			t.Errorf("chunk=%d: HTTPOnlyIPs diverge", chunk)
@@ -35,13 +39,14 @@ func TestInferSnapshotStreamMatchesInferSnapshot(t *testing.T) {
 }
 
 // TestInferSnapshotStreamSharded reruns the chunk equality with the
-// batch validation split across 4 shards — the (chunk, shard) fold.
+// batch validation split across 4 shards — the (chunk, shard) fold —
+// against the unsharded default-chunk inference.
 func TestInferSnapshotStreamSharded(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())
 	want := p.InferSnapshot(snap)
 	p.Shards = 4
-	for _, chunk := range []int{3, 0} {
+	for _, chunk := range []int{1, 7, 0} {
 		got, err := p.InferSnapshotStream(corpus.StreamOf(snap, chunk))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
@@ -54,7 +59,7 @@ func TestInferSnapshotStreamSharded(t *testing.T) {
 
 // TestInferSnapshotStreamError pins stream-failure semantics: an error
 // from any record stream aborts the inference and surfaces with the
-// fixed certs-https-http precedence, like a failed materializing read.
+// fixed certs-https-http precedence.
 func TestInferSnapshotStreamError(t *testing.T) {
 	snap := rapid7At(t, lastSnap)
 	p := testPipeline(DefaultOptions())

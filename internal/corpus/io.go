@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"offnetscope/internal/certmodel"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/obs"
@@ -145,76 +146,27 @@ func writeHeaderFile(path string, records []HeaderRecord) error {
 	})
 }
 
-// writeNDJSON is crash-safe and durable: it streams into a temp file in
-// the target directory, renames it into place only after the gzip
-// stream is finalized and fsynced, and then fsyncs the parent directory
-// so the rename itself survives power loss — without the directory
-// sync the new name can live only in the page cache, and a crash could
-// resurface the old file (or nothing) at path even though the rename
-// "succeeded". A killed run can never leave a truncated *.ndjson.gz
-// behind to poison later reads — at worst it leaves a *.tmp-* file that
-// the next Write simply ignores. The crash suite pins both halves:
-// TestWriteNDJSONCrashSafe the atomicity, TestWriteNDJSONSyncsDir the
-// directory sync.
-func writeNDJSON(path string, n int, encode func(*json.Encoder, int) error) (err error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+// writeNDJSON streams n encoded records into path through
+// durable.WriteFile, so a killed run can never leave a truncated
+// *.ndjson.gz behind to poison later reads: the gzip stream is
+// finalized and fsynced before the rename commits it.
+func writeNDJSON(path string, n int, encode func(*json.Encoder, int) error) error {
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		gz := gzip.NewWriter(w)
+		bw := bufio.NewWriterSize(gz, 1<<16)
+		enc := json.NewEncoder(bw)
+		for i := 0; i < n; i++ {
+			if err := encode(enc, i); err != nil {
+				return fmt.Errorf("encoding %s: %w", path, err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()      //nolint:errcheck — already failing
-			os.Remove(tmp) //nolint:errcheck — best-effort cleanup
-		}
-	}()
-	gz := gzip.NewWriter(f)
-	bw := bufio.NewWriterSize(gz, 1<<16)
-	enc := json.NewEncoder(bw)
-	for i := 0; i < n; i++ {
-		if err = encode(enc, i); err != nil {
-			return fmt.Errorf("corpus: encoding %s: %w", path, err)
-		}
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = gz.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = os.Chmod(tmp, 0o644); err != nil { // CreateTemp makes 0600
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	if err = fsyncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fsyncDir makes a completed rename in dir durable by syncing the
-// directory itself. It is a variable so the crash suite can observe
-// that every successful write syncs its directory.
-var fsyncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("corpus: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("corpus: %w", cerr)
 	}
 	return nil
 }
@@ -242,11 +194,9 @@ type ReadOptions struct {
 	// are deterministic for a fixed corpus; only corpus.read_ns varies.
 	Metrics *obs.Registry
 
-	// ChunkSize bounds the record batches the streaming read path
-	// (OpenStream) yields; zero means DefaultChunkSize. It is an
-	// execution knob like -jobs and -shards, not part of the
+	// ChunkSize bounds the record batches OpenStream yields; zero
+	// means DefaultChunkSize. It is an execution knob, not part of the
 	// determinism contract: output is byte-identical at any setting.
-	// The materializing path (Read/ReadWithStats) ignores it.
 	ChunkSize int
 }
 
@@ -273,9 +223,7 @@ func (o ReadOptions) budget() float64 {
 var ErrBudgetExceeded = errors.New("corpus: per-file error budget exceeded")
 
 // recordReadMetrics emits the corpus.* read accounting for one snapshot
-// read attempt. It is shared by the materializing (ReadWithStats) and
-// streaming (OpenStream) paths so the counter totals stay byte-identical
-// between them for the same corpus.
+// read attempt.
 func recordReadMetrics(m *obs.Registry, start time.Time, stats *ReadStats, err error) {
 	m.Histogram("corpus.read_ns").Since(start)
 	m.Counter("corpus.reads").Inc()
@@ -423,69 +371,43 @@ func reasonOf(err error) string {
 }
 
 // Read loads a snapshot previously persisted with Write, strictly: the
-// first malformed record fails the read. Shared intermediate
+// first malformed record fails the read. It is OpenStream drained into
+// memory, the three files on their own goroutines; errors follow the
+// fixed file order (certs, https, http). Shared intermediate
 // certificates are deduplicated by fingerprint so the in-memory size
 // matches freshly scanned snapshots.
 func Read(root string, vendor Vendor, s timeline.Snapshot) (*Snapshot, error) {
-	snap, _, err := ReadWithStats(root, vendor, s, ReadOptions{})
-	return snap, err
-}
-
-// ReadWithStats loads a snapshot under the given options. In tolerant
-// mode, malformed records are skipped and counted per file; the read
-// fails only when a file exceeds its error budget or is damaged at the
-// gzip level. The returned stats are valid (for inspection) even when
-// err is non-nil.
-//
-// The three corpus files decode concurrently, each on its own
-// goroutine — gzip inflation and JSON decoding dominate a snapshot
-// read, and the files share nothing. Stats ordering and error
-// precedence follow the fixed file order (certs, https, http)
-// regardless of which read finishes or fails first, so the returned
-// error, the stats, and the snapshot are all deterministic.
-func ReadWithStats(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (snap *Snapshot, stats *ReadStats, err error) {
-	start := time.Now()
-	stats = &ReadStats{}
-	defer func() { recordReadMetrics(opts.Metrics, start, stats, err) }()
-	dir := Dir(root, vendor, s)
-	snap = &Snapshot{Vendor: vendor, Snapshot: s}
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-
-	// FileStats are registered up front so stats.Files keeps the file
-	// order however the concurrent reads interleave; each goroutine
-	// owns its own FileStats and its own slice of the snapshot.
-	certFS := stats.file("certs.ndjson.gz")
-	httpsFS := stats.file("https_headers.ndjson.gz")
-	httpFS := stats.file("http_headers.ndjson.gz")
-	errs := make([]error, 3)
+	st, err := OpenStream(root, vendor, s, ReadOptions{})
+	if err != nil {
+		return nil, err
+	}
+	snap := &Snapshot{Vendor: vendor, Snapshot: s}
+	var errs [3]error
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		errs[0] = readNDJSONFile(filepath.Join(dir, certFS.Name), opts, certFS, certLineDecoder(snap, interned, make(strTable)))
+		errs[0] = st.Certs(func(b []CertRecord) error { snap.Certs = append(snap.Certs, b...); return nil })
 	}()
 	go func() {
 		defer wg.Done()
-		snap.HTTPS, errs[1] = readHeaderFile(filepath.Join(dir, httpsFS.Name), opts, httpsFS)
+		errs[1] = st.HTTPS(func(b []HeaderRecord) error { snap.HTTPS = append(snap.HTTPS, b...); return nil })
 	}()
 	go func() {
 		defer wg.Done()
-		snap.HTTP, errs[2] = readHeaderFile(filepath.Join(dir, httpFS.Name), opts, httpFS)
+		errs[2] = st.HTTP(func(b []HeaderRecord) error { snap.HTTP = append(snap.HTTP, b...); return nil })
 	}()
 	wg.Wait()
-	for _, err = range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
 	}
-	return snap, stats, nil
+	return snap, nil
 }
 
 // decodeCertRecord decodes one certs.ndjson.gz line, interning repeated
-// intermediates/roots by fingerprint and repeated strings via strs. It
-// is the single decode routine behind both the materializing and the
-// chunked read paths, so the two can never disagree on what counts as
-// a malformed record.
+// intermediates/roots by fingerprint and repeated strings via strs.
 func decodeCertRecord(line []byte, interned map[certmodel.Fingerprint]*certmodel.Certificate, strs strTable) (CertRecord, error) {
 	var w wireCertRecord
 	if err := json.Unmarshal(line, &w); err != nil {
@@ -526,32 +448,6 @@ func decodeHeaderRecord(line []byte, strs strTable) (HeaderRecord, error) {
 		w.Headers[i].Value = strs.intern(w.Headers[i].Value)
 	}
 	return HeaderRecord{IP: ip, Headers: w.Headers}, nil
-}
-
-// certLineDecoder appends decoded cert records to snap.
-func certLineDecoder(snap *Snapshot, interned map[certmodel.Fingerprint]*certmodel.Certificate, strs strTable) func([]byte) error {
-	return func(line []byte) error {
-		rec, err := decodeCertRecord(line, interned, strs)
-		if err != nil {
-			return err
-		}
-		snap.Certs = append(snap.Certs, rec)
-		return nil
-	}
-}
-
-func readHeaderFile(path string, opts ReadOptions, fs *FileStats) ([]HeaderRecord, error) {
-	var out []HeaderRecord
-	strs := make(strTable)
-	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeHeaderRecord(line, strs)
-		if derr != nil {
-			return derr
-		}
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
 }
 
 func readNDJSONFile(path string, opts ReadOptions, fs *FileStats, decode func([]byte) error) (err error) {

@@ -27,9 +27,8 @@ const DefaultChunkSize = 4096
 // scanners.ScanStream):
 //
 //   - Batches arrive in record order — chunk N+1's records follow chunk
-//     N's exactly as a materializing read would have appended them. A
-//     consumer that folds batches in arrival order reproduces the
-//     unchunked result byte for byte at any chunk size.
+//     N's in file order. A consumer that folds batches in arrival order
+//     gets the same result byte for byte at any chunk size.
 //   - The batch slice is only valid during the yield call: producers
 //     reuse it. Consumers copy what they retain — the records' contents
 //     (chain pointers, header slices) are freshly decoded and safe to
@@ -42,9 +41,9 @@ type Stream struct {
 	Vendor   Vendor
 	Snapshot timeline.Snapshot
 
-	// Stats carries the same per-file accounting a materializing read
-	// returns. The counts fill in as the consume functions run and are
-	// complete once all three have returned.
+	// Stats carries the per-file read accounting (nil for StreamOf).
+	// The counts fill in as the consume functions run and are complete
+	// once all three have returned.
 	Stats *ReadStats
 
 	Certs func(yield func([]CertRecord) error) error
@@ -59,10 +58,14 @@ func (st *Stream) ScanTime() time.Time { return st.Snapshot.MidTime() }
 // StreamOf adapts an in-memory snapshot to the streaming interface,
 // yielding zero-copy subslice batches of chunk records each
 // (DefaultChunkSize when chunk <= 0). It is how scanner-generated
-// corpuses and tests drive the streaming pipeline without a disk
-// round-trip; it records no stats and emits no metrics, exactly like
-// handing the snapshot itself to the materializing pipeline.
+// corpuses and in-memory callers drive the pipeline without a disk
+// round-trip; it records no stats and emits no metrics. A nil snapshot
+// yields a nil stream, the StreamSource convention for a month the
+// vendor doesn't cover.
 func StreamOf(snap *Snapshot, chunk int) *Stream {
+	if snap == nil {
+		return nil
+	}
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
@@ -85,20 +88,18 @@ func yieldChunks[T any](recs []T, chunk int, yield func([]T) error) error {
 	return nil
 }
 
-// OpenStream opens a persisted vendor-month for chunked reading. The
-// ReadOptions carry over from ReadWithStats unchanged — tolerant mode,
-// the per-file error budget, and metrics all behave identically, and
-// the budget aborts at exactly the same skip count as the materializing
-// reader (the incremental enforcement in decodeNDJSON never needed the
-// up-front record count). All three files are stat'd up front so a
-// month the vendor doesn't cover fails here with fs.ErrNotExist, like
-// ReadWithStats, rather than mid-consumption.
+// OpenStream opens a persisted vendor-month for chunked reading; it is
+// the one read path from disk. Strict mode fails on the first
+// malformed record; tolerant mode skips and counts malformed records
+// within the per-file error budget, which aborts at exactly the skip
+// that exceeds it. All three files are stat'd up front so a month the
+// vendor doesn't cover fails here with fs.ErrNotExist rather than
+// mid-consumption.
 //
 // The read's corpus.* metrics are recorded once, after all three
 // consume functions have completed; a consumer that abandons a stream
 // forfeits that read's accounting. Error precedence across files
-// follows the fixed file order (certs, https, http), matching
-// ReadWithStats.
+// follows the fixed file order (certs, https, http).
 func OpenStream(root string, vendor Vendor, s timeline.Snapshot, opts ReadOptions) (*Stream, error) {
 	start := time.Now()
 	dir := Dir(root, vendor, s)
@@ -178,7 +179,7 @@ func (e *yieldError) Unwrap() error { return e.err }
 // readCertChunks drives one certs file through the shared per-record
 // decoder, accumulating records into a single reused batch buffer and
 // yielding it every chunk records. Interning (fingerprints and strings)
-// spans the whole file, exactly like the materializing read.
+// spans the whole file.
 func readCertChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yield func([]CertRecord) error) error {
 	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
 	strs := make(strTable)

@@ -5,10 +5,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"offnetscope/internal/obs"
+	"offnetscope/internal/timeline"
 )
 
 // drainStream consumes all three files of a stream, materializing the
@@ -30,10 +32,27 @@ func drainStream(st *Stream) (certs []CertRecord, https, http []HeaderRecord, er
 	return
 }
 
-// OpenStream must reproduce the materializing read exactly — records in
-// order, identical stats, identical corpus.* counters — at any chunk
-// size, including sizes that split records mid-file and a chunk larger
-// than the file.
+// readStream reads one Rapid7 month through OpenStream and drains it
+// into a Snapshot, returning the read stats and the first error in
+// file order.
+func readStream(root string, s timeline.Snapshot, opts ReadOptions) (*Snapshot, *ReadStats, error) {
+	st, err := OpenStream(root, Rapid7, s, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	certs, https, http, errs := drainStream(st)
+	for _, e := range errs {
+		if e != nil {
+			return nil, st.Stats, e
+		}
+	}
+	return &Snapshot{Vendor: Rapid7, Snapshot: s, Certs: certs, HTTPS: https, HTTP: http}, st.Stats, nil
+}
+
+// OpenStream must reproduce the snapshot Write persisted — records in
+// order — at any chunk size, including sizes that split records
+// mid-file and a chunk larger than the file, with the stats and
+// corpus.* counters of the default chunk size.
 func TestOpenStreamMatchesRead(t *testing.T) {
 	snap := sampleSnapshot(t)
 	root := t.TempDir()
@@ -41,59 +60,50 @@ func TestOpenStreamMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantReg := obs.NewRegistry("want")
-	want, wantStats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Metrics: wantReg})
+	_, wantStats, err := readStream(root, snap.Snapshot, ReadOptions{Metrics: wantReg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if wantStats.TotalRecords() != len(snap.Certs)+len(snap.HTTPS)+len(snap.HTTP) || wantStats.TotalSkipped() != 0 {
+		t.Fatalf("default-chunk stats: %d records, %d skipped", wantStats.TotalRecords(), wantStats.TotalSkipped())
+	}
 
-	for _, chunk := range []int{1, 7, 0, 1 << 20} {
+	for _, chunk := range []int{1, 7, 1 << 20} {
 		reg := obs.NewRegistry("got")
-		st, err := OpenStream(root, Rapid7, snap.Snapshot, ReadOptions{Metrics: reg, ChunkSize: chunk})
+		got, stats, err := readStream(root, snap.Snapshot, ReadOptions{Metrics: reg, ChunkSize: chunk})
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		certs, https, http, errs := drainStream(st)
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("chunk=%d file %d: %v", chunk, i, e)
-			}
-		}
-		if !sameCertRecords(want.Certs, certs) {
-			t.Fatalf("chunk=%d: cert records diverged (%d vs %d)", chunk, len(certs), len(want.Certs))
+		if !sameCertRecords(snap.Certs, got.Certs) {
+			t.Fatalf("chunk=%d: cert records diverged (%d vs %d)", chunk, len(got.Certs), len(snap.Certs))
 		}
 		for name, pair := range map[string][2][]HeaderRecord{
-			"https": {want.HTTPS, https},
-			"http":  {want.HTTP, http},
+			"https": {snap.HTTPS, got.HTTPS},
+			"http":  {snap.HTTP, got.HTTP},
 		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("chunk=%d: %s record count %d, want %d", chunk, name, len(pair[1]), len(pair[0]))
-			}
-			for i := range pair[0] {
-				if pair[0][i].IP != pair[1][i].IP || len(pair[0][i].Headers) != len(pair[1][i].Headers) {
-					t.Fatalf("chunk=%d: %s record %d diverged", chunk, name, i)
-				}
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Fatalf("chunk=%d: %s records diverged", chunk, name)
 			}
 		}
 		for i, fs := range wantStats.Files {
-			if !sameFileStats(fs, st.Stats.Files[i]) {
-				t.Fatalf("chunk=%d: stats for %s diverged: %s vs %s", chunk, fs.Name, st.Stats.Files[i], fs)
+			if fs.Name != stats.Files[i].Name || !sameFileStats(fs, stats.Files[i]) {
+				t.Fatalf("chunk=%d: stats for %s diverged: %s vs %s", chunk, fs.Name, stats.Files[i], fs)
 			}
 		}
-		got, wantCtrs := reg.Snapshot().Counters, wantReg.Snapshot().Counters
-		if len(got) != len(wantCtrs) {
-			t.Fatalf("chunk=%d: counter sets diverged: %v vs %v", chunk, got, wantCtrs)
+		gotCtrs, wantCtrs := reg.Snapshot().Counters, wantReg.Snapshot().Counters
+		if len(gotCtrs) != len(wantCtrs) {
+			t.Fatalf("chunk=%d: counter sets diverged: %v vs %v", chunk, gotCtrs, wantCtrs)
 		}
 		for name, v := range wantCtrs {
-			if got[name] != v {
-				t.Errorf("chunk=%d: counter %s = %d, want %d", chunk, name, got[name], v)
+			if gotCtrs[name] != v {
+				t.Errorf("chunk=%d: counter %s = %d, want %d", chunk, name, gotCtrs[name], v)
 			}
 		}
 	}
 }
 
 // A month the vendor doesn't cover fails OpenStream up front with
-// fs.ErrNotExist and books the same corpus.read_missing accounting the
-// materializing read does.
+// fs.ErrNotExist and books it as corpus.read_missing.
 func TestOpenStreamMissingMonth(t *testing.T) {
 	reg := obs.NewRegistry("got")
 	_, err := OpenStream(t.TempDir(), Rapid7, 3, ReadOptions{Metrics: reg})
@@ -244,9 +254,8 @@ func TestStreamChunkBoundaryCorruption(t *testing.T) {
 }
 
 // A gzip stream whose trailer is truncated — the CRC can never be
-// verified — must fail the read in both strict and tolerant mode, on
-// both the materializing and the streaming path, and must never be
-// misfiled as a per-record skip or an ErrBudgetExceeded.
+// verified — must fail the read in both strict and tolerant mode, and
+// must never be misfiled as a per-record skip or an ErrBudgetExceeded.
 func TestTruncatedGzipTrailer(t *testing.T) {
 	snap := sampleSnapshot(t)
 	root := t.TempDir()
@@ -269,14 +278,6 @@ func TestTruncatedGzipTrailer(t *testing.T) {
 		{Tolerant: true},
 		{Tolerant: true, MaxBadFraction: NoBudget},
 	} {
-		_, _, err := ReadWithStats(root, Rapid7, snap.Snapshot, opts)
-		if err == nil {
-			t.Fatalf("materializing read (tolerant=%v) accepted a truncated trailer", opts.Tolerant)
-		}
-		if errors.Is(err, ErrBudgetExceeded) {
-			t.Fatalf("materializing read misfiled truncation as budget: %v", err)
-		}
-
 		st, oerr := OpenStream(root, Rapid7, snap.Snapshot, opts)
 		if oerr != nil {
 			t.Fatal(oerr)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"offnetscope/internal/durable"
 	"offnetscope/internal/obs"
 )
 
@@ -67,7 +68,7 @@ func TestTolerantReadSkipsMalformed(t *testing.T) {
 		t.Fatal("strict read accepted malformed records")
 	}
 
-	back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: 0.2})
+	back, stats, err := readStream(root, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: 0.2})
 	if err != nil {
 		t.Fatalf("tolerant read: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestTolerantReadReasonTotalsAndMetrics(t *testing.T) {
 	})
 
 	reg := obs.NewRegistry("test")
-	back, stats, err := ReadWithStats(root, Rapid7, snap.Snapshot,
+	back, stats, err := readStream(root, snap.Snapshot,
 		ReadOptions{Tolerant: true, MaxBadFraction: 0.5, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +168,11 @@ func TestTolerantReadBudget(t *testing.T) {
 		return lines
 	})
 	// 20 bad / 71 total ≈ 28%: over a 5% budget, under a 50% one.
-	_, _, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true})
+	_, _, err := readStream(root, snap.Snapshot, ReadOptions{Tolerant: true})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	if _, _, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: 0.5}); err != nil {
+	if _, _, err := readStream(root, snap.Snapshot, ReadOptions{Tolerant: true, MaxBadFraction: 0.5}); err != nil {
 		t.Fatalf("generous budget still failed: %v", err)
 	}
 }
@@ -287,7 +288,7 @@ func TestTolerantReadStillFailsTruncatedGzip(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadWithStats(root, Rapid7, snap.Snapshot, ReadOptions{Tolerant: true}); err == nil {
+	if _, _, err := readStream(root, snap.Snapshot, ReadOptions{Tolerant: true}); err == nil {
 		t.Fatal("tolerant read accepted a truncated gzip stream")
 	}
 }
@@ -328,7 +329,7 @@ func TestWriteNDJSONCrashSafe(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("failed write clobbered the existing file")
 	}
-	leftovers, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	leftovers, err := filepath.Glob(filepath.Join(dir, durable.TempPrefix+"*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,40 +343,5 @@ func TestWriteNDJSONCrashSafe(t *testing.T) {
 	}
 	if _, err := io.ReadAll(gz); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWriteNDJSONSyncsDir pins the durability half of the crash-safety
-// claim: a successful writeNDJSON must fsync the parent directory after
-// the rename (or the rename may not survive power loss), and a failed
-// write — whose rename never happens — must not.
-func TestWriteNDJSONSyncsDir(t *testing.T) {
-	orig := fsyncDir
-	defer func() { fsyncDir = orig }()
-	var synced []string
-	fsyncDir = func(dir string) error {
-		synced = append(synced, dir)
-		return orig(dir)
-	}
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "records.ndjson.gz")
-	if err := writeNDJSON(path, 2, func(enc *json.Encoder, i int) error {
-		return enc.Encode(i)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(synced) != 1 || synced[0] != dir {
-		t.Fatalf("successful write synced %v, want exactly [%s]", synced, dir)
-	}
-
-	synced = nil
-	boom := errors.New("boom")
-	err := writeNDJSON(path, 1, func(*json.Encoder, int) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the encode error", err)
-	}
-	if len(synced) != 0 {
-		t.Fatalf("failed write synced the directory (%v) despite no rename", synced)
 	}
 }

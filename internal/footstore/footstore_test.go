@@ -2,6 +2,7 @@ package footstore
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/core"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
@@ -192,6 +194,59 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(enc, st4.Encode()) {
 		t.Error("Read round trip is not byte-identical")
+	}
+}
+
+// Save must replace an existing store atomically, never truncate it in
+// place: a reader holding the old file keeps reading the old bytes,
+// the path then holds exactly the new store, and no temp file is left.
+// An in-place rewrite would hand the old handle the new (or a torn)
+// image — and a killed save would destroy the store a daemon reloads.
+func TestSaveReplacesAtomically(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.fst")
+	old := buildTestStore(t)
+	if err := old.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	b := NewBuilder()
+	if err := b.AddSnapshot(20, map[hg.ID][]astopo.ASN{hg.Akamai: {700}}); err != nil {
+		t.Fatal(err)
+	}
+	next, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Save(path); err != nil {
+		t.Fatal(err)
+	}
+
+	held, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, old.Encode()) {
+		t.Fatal("Save rewrote the existing file in place: an open handle no longer reads the old store")
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now, next.Encode()) {
+		t.Fatal("path does not hold the newly saved store")
+	}
+	litter, err := filepath.Glob(filepath.Join(dir, durable.TempPrefix+"*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(litter) != 0 {
+		t.Fatalf("temp files left behind: %v", litter)
 	}
 }
 

@@ -37,7 +37,7 @@
 //
 // Write protocol. Append writes the segment file under its final name
 // (write, fsync, close), then commits by writing the manifest via
-// temp + rename + parent-dir fsync. A crash between the two leaves a
+// durable.WriteFile (temp + fsync + rename + dir fsync). A crash between the two leaves a
 // segment at generation ≥ next with no manifest entry: a torn tail,
 // quarantined (renamed to .torn) on the next open — never trusted,
 // never silently deleted. Compact raises base in the manifest FIRST,
@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -61,6 +62,7 @@ import (
 	"sync"
 	"time"
 
+	"offnetscope/internal/durable"
 	"offnetscope/internal/obs"
 )
 
@@ -70,7 +72,6 @@ const (
 
 	manifestName = "MANIFEST.glm"
 	tornSuffix   = ".torn"
-	tmpPrefix    = ".tmp-"
 )
 
 var (
@@ -198,7 +199,7 @@ func OpenGenLog(dir string) (*GenLog, *GenRecovery, error) {
 			continue // e.g. a wave-checkpoint subdirectory
 		}
 		name := e.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
+		if strings.HasPrefix(name, durable.TempPrefix) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return nil, nil, fmt.Errorf("genlog: %w", err)
 			}
@@ -391,9 +392,19 @@ func (l *GenLog) LoadEncoded(gen uint64) ([]byte, error) {
 	return readSegmentPayload(l.dir, gen)
 }
 
-// writeManifestLocked commits the current window; the caller holds mu.
+// writeManifestLocked commits the current window through
+// durable.WriteFile, whose rename is the commit point; the caller
+// holds mu.
 func (l *GenLog) writeManifestLocked() error {
-	return writeAtomicInDir(l.dir, manifestName, encodeManifest(l.base, l.segs))
+	raw := encodeManifest(l.base, l.segs)
+	err := durable.WriteFile(filepath.Join(l.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("genlog: %w", err)
+	}
+	return nil
 }
 
 // PeekGenLog reads the committed window without touching anything:
@@ -561,7 +572,8 @@ func decodeManifest(data []byte) (base uint64, segs []segMeta, err error) {
 
 // writeDurable writes data under its final name and fsyncs both the
 // file and the directory. Used for segments, where "exists but not in
-// the manifest" is the designed torn-tail state.
+// the manifest" is the designed torn-tail state — so unlike
+// durable.WriteFile there is no temp file and no rename.
 func writeDurable(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -581,53 +593,10 @@ func writeDurable(path string, data []byte) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// writeAtomicInDir writes name into dir via temp + fsync + rename +
-// dir fsync — the same discipline as runstate's checkpoint writer. The
-// rename is the commit point.
-func writeAtomicInDir(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, tmpPrefix+name+"-")
-	if err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func() { os.Remove(tmpName) }
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		cleanup()
-		return fmt.Errorf("genlog: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		cleanup()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	return syncDir(dir)
-}
-
 // syncDir fsyncs a directory so renames and unlinks inside it are
 // durable.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("genlog: %w", err)
-	}
-	if err := d.Close(); err != nil {
+	if err := durable.SyncDir(dir); err != nil {
 		return fmt.Errorf("genlog: %w", err)
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"offnetscope/internal/durable"
 	"offnetscope/internal/rng"
 )
 
@@ -261,7 +262,7 @@ func TestGenLogCrashEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range cleanEntries {
-		if strings.Contains(e.Name(), tornSuffix) || strings.HasPrefix(e.Name(), tmpPrefix) {
+		if strings.Contains(e.Name(), tornSuffix) || strings.HasPrefix(e.Name(), durable.TempPrefix) {
 			t.Fatalf("clean run left crash artifact %s", e.Name())
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"offnetscope/internal/astopo"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/obs"
 	"offnetscope/internal/timeline"
@@ -227,7 +228,7 @@ func TestGenLogTempsSweptAndSubdirsIgnored(t *testing.T) {
 	if _, err := l.Append(genStore(t, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"MANIFEST.glm-123"), []byte("half"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, durable.TempPrefix+"MANIFEST.glm-123"), []byte("half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Wave checkpoints live in a subdirectory of the log dir; the sweep

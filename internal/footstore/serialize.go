@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"offnetscope/internal/astopo"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
@@ -118,18 +119,17 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Save writes the store to path.
+// Save atomically replaces path with the store through
+// durable.WriteFile: a failed or killed save leaves the previous store
+// at path intact, so a daemon reloading from path never sees a torn
+// file.
 func (st *Store) Save(path string) error {
-	f, err := os.Create(path)
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		_, err := st.WriteTo(w)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("footstore: %w", err)
-	}
-	if _, err := st.WriteTo(f); err != nil {
-		f.Close()
 		return fmt.Errorf("footstore: writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("footstore: %w", err)
 	}
 	return nil
 }

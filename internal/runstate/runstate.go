@@ -2,10 +2,10 @@
 // killed growth run resumes instead of restarting. A checkpoint
 // directory holds a manifest binding the run to its inputs (corpus
 // fingerprint, pipeline-options hash, vendor, format version) plus one
-// crash-safe entry per completed snapshot. Entries are written with the
-// footstore discipline — temp file, fsync, rename, CRC-32 trailer — so
-// a SIGKILL mid-write leaves at worst a stale temp file, never a
-// half-trusted checkpoint; corrupt or partial entries are discarded on
+// crash-safe entry per completed snapshot. Entries carry a CRC-32
+// trailer and are written with durable.WriteFile — temp file, fsync,
+// rename, directory fsync — so a SIGKILL mid-write leaves at worst a
+// stale temp file, never a half-trusted checkpoint; corrupt or partial entries are discarded on
 // load and simply recomputed.
 package runstate
 
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"offnetscope/internal/core"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/obs"
 	"offnetscope/internal/timeline"
 )
@@ -94,7 +95,7 @@ func Create(path string, m Manifest) (*Dir, error) {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if name == manifestName || strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, tmpPrefix) {
+		if name == manifestName || strings.HasSuffix(name, entrySuffix) || strings.HasPrefix(name, durable.TempPrefix) {
 			if err := os.Remove(filepath.Join(path, name)); err != nil {
 				return nil, fmt.Errorf("runstate: clearing stale checkpoint: %w", err)
 			}
@@ -182,52 +183,14 @@ func (d *Dir) Load(s timeline.Snapshot) *core.CheckpointData {
 	return ck
 }
 
-const tmpPrefix = ".tmp-"
-
-// writeAtomic is the footstore/corpus write discipline: temp file in
-// the target's directory, write, fsync, close, chmod, rename, then
-// fsync the directory so the rename itself survives power loss.
+// writeAtomic commits raw at path through durable.WriteFile.
 func writeAtomic(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-*")
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("runstate: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("runstate: writing %s: %w", path, err)
-	}
-	if _, err := f.Write(raw); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: writing %s: %w", path, err)
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstate: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("runstate: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("runstate: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("runstate: %w", cerr)
 	}
 	return nil
 }

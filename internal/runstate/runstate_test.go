@@ -10,6 +10,7 @@ import (
 	"offnetscope/internal/astopo"
 	"offnetscope/internal/certmodel"
 	"offnetscope/internal/core"
+	"offnetscope/internal/durable"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
 	"offnetscope/internal/timeline"
@@ -166,7 +167,7 @@ func TestCreateClearsStaleState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: leave temp litter behind.
-	litter := filepath.Join(root, tmpPrefix+"snap-2014-07.ckpt-12345")
+	litter := filepath.Join(root, durable.TempPrefix+"snap-2014-07.ckpt-12345")
 	if err := os.WriteFile(litter, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -144,6 +144,10 @@ func (c Config) Validate() error {
 	if err := validRange("Scale", c.Scale, 0, 2); err != nil {
 		return err
 	}
+	if c.Scale > 0 && finalASes(c.Scale) < astopo.MinFinalASes {
+		return fmt.Errorf("worldsim: Scale %v gives %d ASes, fewer than the %d the AS topology's tiers need (minimum scale %g)",
+			c.Scale, finalASes(c.Scale), astopo.MinFinalASes, minScale)
+	}
 	if err := validRange("BackgroundHostsPerAS", c.BackgroundHostsPerAS, 0, 10000); err != nil {
 		return err
 	}
@@ -194,6 +198,13 @@ func validRange(name string, v, lo, hi float64) error {
 // realFinalASes is the approximate number of ASes in the real Internet at
 // the final snapshot; FinalASes = realFinalASes × Scale.
 const realFinalASes = 71000
+
+// finalASes is the AS count of a world at scale.
+func finalASes(scale float64) int { return int(float64(realFinalASes) * scale) }
+
+// minScale is the smallest Scale whose world holds astopo.MinFinalASes
+// ASes, rounded up to six decimals so it is a usable flag value.
+var minScale = math.Ceil(float64(astopo.MinFinalASes)/realFinalASes*1e6) / 1e6
 
 // anchor is a (snapshot, value) control point; values between anchors are
 // linearly interpolated, values outside the range are clamped.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"offnetscope/internal/astopo"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/timeline"
 )
@@ -34,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 	valid := []Config{
 		{},
 		{Scale: 1, IPv6OnlyASFrac: 0.99, SharedCertFrac: 1, CustomerCertBoost: 100},
+		{Scale: minScale},
 		{Hide: HideAndSeek{NullDefaultCertFrac: 0.95, StripOrganization: true}},
 		{Trajectories: map[hg.ID]TrajectoryOverride{
 			hg.Netflix: {OffNetScale: 0.3},
@@ -49,6 +51,8 @@ func TestConfigValidate(t *testing.T) {
 		{Scale: math.NaN()},
 		{Scale: -0.1},
 		{Scale: 3},
+		{Scale: 0.001},  // 71 ASes: below the AS topology's tier floors
+		{Scale: 0.0015}, // 106 ASes
 		{BackgroundHostsPerAS: math.Inf(1)},
 		{IPv6OnlyASFrac: 1.5},
 		{Hide: HideAndSeek{NullDefaultCertFrac: -0.2}},
@@ -63,6 +67,21 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("invalid[%d] (%+v): Validate accepted it", i, c)
 		}
+	}
+}
+
+// New refuses a scale below the AS topology's tier floors instead of
+// panicking inside the generator, and builds the smallest valid world.
+func TestNewScaleFloor(t *testing.T) {
+	if _, err := New(Config{Seed: 1, Scale: 0.001}); err == nil {
+		t.Fatal("New accepted a 71-AS world")
+	}
+	w, err := New(Config{Seed: 1, Scale: minScale})
+	if err != nil {
+		t.Fatalf("minimum scale %v: %v", minScale, err)
+	}
+	if n := w.Graph().NumASes(); n < astopo.MinFinalASes {
+		t.Errorf("minimum-scale world has %d ASes, want at least %d", n, astopo.MinFinalASes)
 	}
 }
 

@@ -65,9 +65,13 @@ type World struct {
 	bgNames map[uint64]bgName
 }
 
-// New builds a world from cfg. Construction is deterministic in cfg.
+// New builds a world from cfg, rejecting a config Validate refuses.
+// Construction is deterministic in cfg.
 func New(cfg Config) (*World, error) {
 	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	w := &World{
 		cfg:         cfg,
 		scale:       cfg.Scale,
@@ -83,7 +87,7 @@ func New(cfg Config) (*World, error) {
 
 	w.graph = astopo.Generate(astopo.GenConfig{
 		Seed:      cfg.Seed,
-		FinalASes: int(float64(realFinalASes) * cfg.Scale),
+		FinalASes: finalASes(cfg.Scale),
 	})
 	w.buildOrgsAndOnNets()
 
