@@ -40,6 +40,7 @@ fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzParseIP -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzParsePrefix -fuzztime=$(FUZZTIME) ./internal/netmodel
 	go test -run=^$$ -fuzz=FuzzMatchDomain -fuzztime=$(FUZZTIME) ./internal/hg
+	go test -run=^$$ -fuzz=FuzzMatchOrg -fuzztime=$(FUZZTIME) ./internal/hg
 	go test -run=^$$ -fuzz=FuzzFromLabel -fuzztime=$(FUZZTIME) ./internal/timeline
 	go test -run=^$$ -fuzz=FuzzMetricsSnapshot -fuzztime=$(FUZZTIME) ./internal/obs
 	go test -run=^$$ -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/scenarios
@@ -55,7 +56,7 @@ fuzz-smoke:
 chaos-race:
 	go test -race ./internal/chaos ./internal/resilience ./internal/runstate ./internal/obs ./internal/durable
 	go test -race -run 'TestChaos|TestTolerant|TestWriteNDJSONCrashSafe|TestCrashResume|TestGrowthJobs' ./internal/corpus ./cmd/offnetmap
-	go test -race -run 'TestRunStudyConfig' ./internal/core
+	go test -race -run 'TestRunStudyStream' ./internal/core
 	go test -race -run 'TestHotReload|TestLoadShedding|TestPanicRecovery|TestHealth|TestRetryAfter|TestReloadGeneration|TestReloadFile|TestSmokeValidate|TestCache|TestBatch|TestConcurrentLoad|TestDeadline|TestBreaker|TestShed|TestGoroutineLeak' ./internal/offnetserve
 	go test -race -run 'TestProbeBreaker' ./internal/probe
 	go test -race -run 'TestGenLog|TestNewBuilderFrom|TestSaveReplacesAtomically' ./internal/footstore

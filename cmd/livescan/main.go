@@ -89,7 +89,7 @@ func inferOne(ctx context.Context, scanner *probe.Scanner, farm *servefarm.Farm,
 		if !strings.HasPrefix(farm.Servers[i].Spec.Name, strings.ToLower(h.Name)+"-onnet") {
 			continue
 		}
-		if !r.Valid || !strings.Contains(strings.ToLower(r.LeafOrganization()), h.Keyword) {
+		if !r.Valid || !hg.MatchOrg(r.LeafOrganization()).Has(h.ID) {
 			continue
 		}
 		for _, d := range r.LeafDNSNames() {
@@ -104,7 +104,7 @@ func inferOne(ctx context.Context, scanner *probe.Scanner, farm *servefarm.Farm,
 		if strings.HasPrefix(srv.Spec.Name, strings.ToLower(h.Name)+"-onnet") {
 			continue
 		}
-		if r.Err != nil || !strings.Contains(strings.ToLower(r.LeafOrganization()), h.Keyword) {
+		if r.Err != nil || !hg.MatchOrg(r.LeafOrganization()).Has(h.ID) {
 			continue
 		}
 		status := "candidate"

@@ -63,7 +63,7 @@ func main() {
 			continue
 		}
 		verdict := "not a candidate"
-		if r.Err == nil && strings.Contains(strings.ToLower(r.LeafOrganization()), "netflix") {
+		if r.Err == nil && hg.MatchOrg(r.LeafOrganization()).Has(hg.Netflix) {
 			switch {
 			case !r.Valid:
 				verdict = "rejected: invalid chain (§4.1)"

@@ -73,9 +73,9 @@ func A3Certs(e *Env) *A3Result {
 		_ = st.Certs(func(batch []corpus.CertRecord) error {
 			for _, cr := range batch {
 				leaf := cr.Chain.Leaf()
-				org := strings.ToLower(leaf.Subject.Organization)
+				hgs := hg.MatchOrg(leaf.Subject.Organization)
 				for _, id := range out.HGs {
-					if !strings.Contains(org, hg.Get(id).Keyword) {
+					if !hgs.Has(id) {
 						continue
 					}
 					// Only genuine hypergiant serving certificates: valid

@@ -2,7 +2,6 @@ package astopo
 
 import (
 	"sort"
-	"strings"
 
 	"offnetscope/internal/timeline"
 )
@@ -11,9 +10,9 @@ import (
 // AS Organizations dataset (§A.2). Organization names change over time
 // (e.g. "Google Inc." became "Google LLC" in 2017); the DB keeps the full
 // rename history per AS and answers both directions: the organization
-// behind an AS at a snapshot, and the ASes whose organization name
-// matches a keyword at a snapshot — the reverse mapping used to extract
-// hypergiant on-net ASes across the study window.
+// behind an AS at a snapshot, and every AS's organization at a snapshot
+// — the scan used to extract hypergiant on-net ASes across the study
+// window.
 type OrgDB struct {
 	entries map[ASN][]orgEntry
 }
@@ -56,19 +55,16 @@ func (db *OrgDB) Name(as ASN, s timeline.Snapshot) string {
 	return name
 }
 
-// ASesMatching returns, sorted, every AS whose organization name at
-// snapshot s contains keyword case-insensitively — the paper's manual
-// "parse organization name literals" step.
-func (db *OrgDB) ASesMatching(keyword string, s timeline.Snapshot) []ASN {
-	kw := strings.ToLower(keyword)
-	var out []ASN
+// Each calls fn, in no particular order, for every AS with a non-empty
+// organization name at snapshot s. Matching those names against the
+// hypergiants' keywords is the paper's manual "parse organization name
+// literals" step (§A.2), done by the caller.
+func (db *OrgDB) Each(s timeline.Snapshot, fn func(as ASN, org string)) {
 	for as := range db.entries {
-		if strings.Contains(strings.ToLower(db.Name(as, s)), kw) {
-			out = append(out, as)
+		if name := db.Name(as, s); name != "" {
+			fn(as, name)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // NumASes returns the number of ASes with at least one record.

@@ -43,23 +43,30 @@ func TestOrgDBSetOutOfOrderAndOverride(t *testing.T) {
 	}
 }
 
-func TestOrgDBASesMatching(t *testing.T) {
+func TestOrgDBEach(t *testing.T) {
 	db := NewOrgDB()
 	db.Set(ASN(1), 0, "Google Inc.")
 	db.Set(ASN(2), 0, "Google Fiber")
 	db.Set(ASN(3), 0, "Netflix, Inc.")
 	db.Set(ASN(4), 5, "Google Cloud") // appears later
 
-	got := db.ASesMatching("google", 0)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ASesMatching at 0 = %v", got)
+	names := func(s timeline.Snapshot) map[ASN]string {
+		out := make(map[ASN]string)
+		db.Each(s, func(as ASN, org string) {
+			if _, dup := out[as]; dup {
+				t.Fatalf("AS%d visited twice at %v", as, s)
+			}
+			out[as] = org
+		})
+		return out
 	}
-	got = db.ASesMatching("GOOGLE", 10)
-	if len(got) != 3 {
-		t.Fatalf("ASesMatching at 10 = %v", got)
+	got := names(0)
+	if len(got) != 3 || got[1] != "Google Inc." || got[2] != "Google Fiber" || got[3] != "Netflix, Inc." {
+		t.Fatalf("Each at 0 = %v", got)
 	}
-	if n := len(db.ASesMatching("amazon", timeline.Snapshot(10))); n != 0 {
-		t.Errorf("amazon matches = %d", n)
+	got = names(10)
+	if len(got) != 4 || got[4] != "Google Cloud" {
+		t.Fatalf("Each at 10 = %v", got)
 	}
 	if db.NumASes() != 4 {
 		t.Errorf("NumASes = %d", db.NumASes())

@@ -48,14 +48,3 @@ func BenchmarkFingerprint(b *testing.B) {
 		_ = leaf.Fingerprint()
 	}
 }
-
-func BenchmarkMatchesOrganization(b *testing.B) {
-	ch, _, _ := benchChain(b)
-	leaf := ch.Leaf()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !leaf.MatchesOrganization("google") {
-			b.Fatal("no match")
-		}
-	}
-}

@@ -95,12 +95,6 @@ func (c *Certificate) ValidAt(t time.Time) bool {
 	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
 }
 
-// MatchesOrganization performs the paper's case-insensitive substring
-// search of a hypergiant keyword in the Subject Organization (§4.2).
-func (c *Certificate) MatchesOrganization(keyword string) bool {
-	return strings.Contains(strings.ToLower(c.Subject.Organization), strings.ToLower(keyword))
-}
-
 // Clone returns a deep copy, used when the simulator derives tampered or
 // renewed variants of a certificate.
 func (c *Certificate) Clone() *Certificate {

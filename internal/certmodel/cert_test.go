@@ -153,18 +153,6 @@ func TestTrustStoreRejectsNonCARoot(t *testing.T) {
 	}
 }
 
-func TestMatchesOrganization(t *testing.T) {
-	c := &Certificate{Subject: Name{Organization: "Google LLC"}}
-	for _, kw := range []string{"google", "GOOGLE", "Google LLC", "oogle"} {
-		if !c.MatchesOrganization(kw) {
-			t.Errorf("keyword %q should match", kw)
-		}
-	}
-	if c.MatchesOrganization("netflix") {
-		t.Error("netflix should not match Google LLC")
-	}
-}
-
 func TestFingerprintStableAndDistinct(t *testing.T) {
 	a, _ := testAuthority(t)
 	c1 := a.IssueLeaf(leafSpec("Google LLC", "*.google.com")).Leaf()

@@ -47,16 +47,17 @@ func validatedRecords(p *Pipeline, snap *corpus.Snapshot) []record {
 	return p.validateRange(snap.Certs, snap.ScanTime(), p.Mapper(snap.Snapshot)).records
 }
 
-// BenchmarkStageCertMatch measures steps 2–3 — fingerprint learning,
-// keyword match, and the dNSName filter — with header confirmation
-// voided by empty header indexes.
+// BenchmarkStageCertMatch measures steps 2–3 — fingerprint learning
+// and the dNSName filter over records classified during validation —
+// with header confirmation voided by empty header indexes.
 func BenchmarkStageCertMatch(b *testing.B) {
 	p := testPipeline(Options{HeaderMode: CertsOnly})
 	snap := benchSnapshot(b)
 	records := validatedRecords(p, snap)
+	on := p.onNetSets(lastSnap)[hg.Google]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hr := p.runHG(hg.Get(hg.Google), lastSnap, records, nil, nil)
+		hr := p.runHG(hg.Get(hg.Google), on, records, nil, nil)
 		if hr.CandidateIPs == 0 {
 			b.Fatal("no candidates")
 		}
@@ -72,7 +73,7 @@ func BenchmarkStageHeaderConfirm(b *testing.B) {
 	httpsIdx := snap.HTTPSHeadersByIP()
 	httpIdx := snap.HTTPHeadersByIP()
 	h := hg.Get(hg.Google)
-	hr := p.runHG(h, lastSnap, records, httpsIdx, httpIdx)
+	hr := p.runHG(h, p.onNetSets(lastSnap)[hg.Google], records, httpsIdx, httpIdx)
 	if len(hr.CandidateIPList) == 0 {
 		b.Fatal("no candidate IPs to confirm")
 	}

@@ -202,11 +202,11 @@ func (r *Result) ASesWithAnyHG() int {
 
 // record is a validated certificate observation ready for matching.
 type record struct {
-	ip       netmodel.IP
-	asns     []astopo.ASN
-	leaf     *certmodel.Certificate
-	orgLower string
-	expired  bool // invalid solely because the leaf expired
+	ip      netmodel.IP
+	asns    []astopo.ASN
+	leaf    *certmodel.Certificate
+	hgs     hg.Set // hypergiants the leaf's organization names (§4.2)
+	expired bool   // invalid solely because the leaf expired
 }
 
 // Run executes the methodology over one in-memory corpus snapshot. It
@@ -222,12 +222,12 @@ func (p *Pipeline) Run(snap *corpus.Snapshot) *Result {
 func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) {
 	m := p.Metrics
 	matchStart := time.Now()
+	onNet := p.onNetSets(res.Snapshot)
 	for _, h := range hg.All() {
-		hr := p.runHG(h, res.Snapshot, records, httpsIdx, httpIdx)
-		res.PerHG[h.ID] = hr
+		res.PerHG[h.ID] = p.runHG(h, onNet[h.ID], records, httpsIdx, httpIdx)
 	}
 	m.Histogram("funnel.match_ns").Since(matchStart)
-	p.countHGIPs(res, records)
+	countHGIPs(res, records, onNet)
 
 	// The per-snapshot funnel (§3–§4): how many records each stage
 	// admitted. All plain additions, so study totals are identical at
@@ -246,6 +246,35 @@ func (p *Pipeline) matchAndCount(res *Result, records []record, httpsIdx, httpId
 		m.Counter("funnel.confirmed_ips").Add(int64(hr.ConfirmedIPs))
 		m.Counter("funnel.confirmed_ases").Add(int64(len(hr.ConfirmedASes)))
 	}
+}
+
+// onNetSet is one hypergiant's on-net ASes (§A.2), sorted and as a set.
+type onNetSet struct {
+	sorted []astopo.ASN
+	set    map[astopo.ASN]struct{}
+}
+
+// onNetSets finds every hypergiant's on-net ASes at snapshot s in one
+// pass over the organization registry, indexed by hg.ID.
+func (p *Pipeline) onNetSets(s timeline.Snapshot) []onNetSet {
+	all := hg.All()
+	out := make([]onNetSet, hg.Count+1)
+	for i := range out {
+		out[i].set = make(map[astopo.ASN]struct{})
+	}
+	p.Orgs.Each(s, func(as astopo.ASN, org string) {
+		hgs := hg.MatchOrg(org)
+		for _, h := range all {
+			if hgs.Has(h.ID) {
+				out[h.ID].sorted = append(out[h.ID].sorted, as)
+				out[h.ID].set[as] = struct{}{}
+			}
+		}
+	})
+	for _, on := range out {
+		sort.Slice(on.sorted, func(i, j int) bool { return on.sorted[i] < on.sorted[j] })
+	}
+	return out
 }
 
 // getShardScratch hands out a fully reset validateShard, reusing a
@@ -301,11 +330,11 @@ func (p *Pipeline) validateRange(certs []corpus.CertRecord, at time.Time, mapper
 			part.valid++
 		}
 		part.records = append(part.records, record{
-			ip:       cr.IP,
-			asns:     asns,
-			leaf:     cr.Chain.Leaf(),
-			orgLower: strings.ToLower(cr.Chain.Leaf().Subject.Organization),
-			expired:  expired,
+			ip:      cr.IP,
+			asns:    asns,
+			leaf:    cr.Chain.Leaf(),
+			hgs:     hg.MatchOrg(cr.Chain.Leaf().Subject.Organization),
+			expired: expired,
 		})
 	}
 	return part
@@ -316,7 +345,7 @@ func (p *Pipeline) validateRange(certs []corpus.CertRecord, at time.Time, mapper
 // across Pipeline.Shards goroutines with a shard-order fold, separated
 // by a barrier: the candidate scan needs the complete dNSName
 // fingerprint, which it then only reads.
-func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *HGResult {
+func (p *Pipeline) runHG(h *hg.Hypergiant, on onNetSet, records []record, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *HGResult {
 	hr := &HGResult{
 		HG:                    h.ID,
 		DNSNames:              make(map[string]struct{}),
@@ -330,16 +359,11 @@ func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record
 
 	// Step 2: on-net ASes from the organization registry, then the
 	// dNSName fingerprint from valid on-net certificates.
-	hr.OnNetASes = p.Orgs.ASesMatching(h.Keyword, s)
-	onNet := make(map[astopo.ASN]struct{}, len(hr.OnNetASes))
-	for _, as := range hr.OnNetASes {
-		onNet[as] = struct{}{}
-	}
-	kw := strings.ToLower(h.Keyword)
+	hr.OnNetASes = on.sorted
 	k := p.shardCount(len(records))
 	fps := make([]*fingerprintShard, k)
 	forEachShard(len(records), k, func(shard, lo, hi int) {
-		fps[shard] = fingerprintRange(records[lo:hi], kw, onNet)
+		fps[shard] = fingerprintRange(records[lo:hi], h.ID, on.set)
 	})
 	for _, part := range fps {
 		hr.OnNetIPs += part.onNetIPs
@@ -356,7 +380,7 @@ func (p *Pipeline) runHG(h *hg.Hypergiant, s timeline.Snapshot, records []record
 	// can show where records leave the pipeline (funnel.drop.*).
 	cands := make([]*candidateShard, k)
 	forEachShard(len(records), k, func(shard, lo, hi int) {
-		cands[shard] = p.candidateRange(h, records[lo:hi], kw, onNet, hr.DNSNames, httpsIdx, httpIdx)
+		cands[shard] = p.candidateRange(h, records[lo:hi], on.set, hr.DNSNames, httpsIdx, httpIdx)
 	})
 	var drops dropTally
 	for _, part := range cands {
@@ -395,14 +419,14 @@ type fingerprintShard struct {
 
 // fingerprintRange learns the dNSName fingerprint contribution of one
 // contiguous run of records.
-func fingerprintRange(records []record, kw string, onNet map[astopo.ASN]struct{}) *fingerprintShard {
+func fingerprintRange(records []record, id hg.ID, onNet map[astopo.ASN]struct{}) *fingerprintShard {
 	part := &fingerprintShard{
 		groups: make(map[certmodel.Fingerprint]int),
 		names:  make(map[string]struct{}),
 	}
 	for i := range records {
 		r := &records[i]
-		if r.expired || !strings.Contains(r.orgLower, kw) {
+		if r.expired || !r.hgs.Has(id) {
 			continue
 		}
 		if !anyIn(r.asns, onNet) {
@@ -441,7 +465,7 @@ type candidateShard struct {
 // candidateRange runs the candidate + confirmation scan over one
 // contiguous run of records. dnsNames is the complete step-2
 // fingerprint and is only read, as are the header indexes.
-func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, kw string, onNet map[astopo.ASN]struct{}, dnsNames map[string]struct{}, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *candidateShard {
+func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, onNet map[astopo.ASN]struct{}, dnsNames map[string]struct{}, httpsIdx, httpIdx map[netmodel.IP][]hg.Header) *candidateShard {
 	part := &candidateShard{hr: &HGResult{
 		CandidateASes:         make(map[astopo.ASN]struct{}),
 		ConfirmedASes:         make(map[astopo.ASN]struct{}),
@@ -454,7 +478,7 @@ func (p *Pipeline) candidateRange(h *hg.Hypergiant, records []record, kw string,
 	allowExpired := p.Opts.IgnoreExpiryFor[h.ID]
 	for i := range records {
 		r := &records[i]
-		if !strings.Contains(r.orgLower, kw) {
+		if !r.hgs.Has(h.ID) {
 			continue
 		}
 		if len(r.asns) == 0 || anyIn(r.asns, onNet) {
@@ -606,30 +630,20 @@ func (p *Pipeline) headersIdentify(h *hg.Hypergiant, headers []hg.Header) bool {
 }
 
 // countHGIPs splits valid HG-matching certificate IPs into on-net and
-// off-net populations (Fig 2's right axis).
-func (p *Pipeline) countHGIPs(res *Result, records []record) {
-	type kwOnNet struct {
-		kw    string
-		onNet map[astopo.ASN]struct{}
-	}
-	var hgs []kwOnNet
-	for _, h := range hg.All() {
-		onNet := make(map[astopo.ASN]struct{})
-		for _, as := range res.PerHG[h.ID].OnNetASes {
-			onNet[as] = struct{}{}
-		}
-		hgs = append(hgs, kwOnNet{kw: strings.ToLower(h.Keyword), onNet: onNet})
-	}
+// off-net populations (Fig 2's right axis). A record naming several
+// hypergiants counts once, against the lowest ID's on-net ASes.
+func countHGIPs(res *Result, records []record, onNet []onNetSet) {
+	all := hg.All()
 	for i := range records {
 		r := &records[i]
 		if r.expired {
 			continue
 		}
-		for _, k := range hgs {
-			if !strings.Contains(r.orgLower, k.kw) {
+		for _, h := range all {
+			if !r.hgs.Has(h.ID) {
 				continue
 			}
-			if anyIn(r.asns, k.onNet) {
+			if anyIn(r.asns, onNet[h.ID].set) {
 				res.HGOnNetCertIPs++
 			} else {
 				res.HGOffNetCertIPs++

@@ -54,7 +54,7 @@ func sameStudy(t *testing.T, want, got *StudyResult) {
 	}
 }
 
-func TestRunStudyConfigParallelMatchesSequential(t *testing.T) {
+func TestRunStudyStreamParallelMatchesSequential(t *testing.T) {
 	snaps := studyTail(t, 4)
 	p := testPipeline(DefaultOptions())
 
@@ -73,7 +73,7 @@ func TestRunStudyConfigParallelMatchesSequential(t *testing.T) {
 	sameStudy(t, seq, plain)
 }
 
-func TestRunStudyConfigRestoreSkipsRecompute(t *testing.T) {
+func TestRunStudyStreamRestoreSkipsRecompute(t *testing.T) {
 	snaps := studyTail(t, 3)
 	p := testPipeline(DefaultOptions())
 
@@ -139,7 +139,7 @@ func TestRunStudyConfigRestoreSkipsRecompute(t *testing.T) {
 	sameStudy(t, full, partial)
 }
 
-func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
+func TestRunStudyStreamDropsFailedSnapshot(t *testing.T) {
 	snaps := studyTail(t, 3)
 	p := testPipeline(DefaultOptions())
 	var bad timeline.Snapshot
@@ -176,7 +176,7 @@ func TestRunStudyConfigDropsFailedSnapshot(t *testing.T) {
 	}
 }
 
-func TestRunStudyConfigRetriesTransient(t *testing.T) {
+func TestRunStudyStreamRetriesTransient(t *testing.T) {
 	snaps := studyTail(t, 2)
 	p := testPipeline(DefaultOptions())
 	fails := make(map[timeline.Snapshot]int)
@@ -205,7 +205,7 @@ func TestRunStudyConfigRetriesTransient(t *testing.T) {
 	}
 }
 
-func TestRunStudyConfigWatchdogDropsStuckSnapshot(t *testing.T) {
+func TestRunStudyStreamWatchdogDropsStuckSnapshot(t *testing.T) {
 	p := testPipeline(DefaultOptions())
 	stuck := lastSnap
 
@@ -234,13 +234,13 @@ func TestRunStudyConfigWatchdogDropsStuckSnapshot(t *testing.T) {
 	}
 }
 
-// TestRunStudyConfigCancelMidRun cancels while workers are in flight:
+// TestRunStudyStreamCancelMidRun cancels while workers are in flight:
 // the fold is blocked on the earliest snapshot (whose source wedges
 // until cancellation) while later snapshots have already delivered into
 // their slots. The run must unwind — workers sending after the fold has
 // exited must not block past cancelWorkers() — and report the
 // cancellation. Exercised under -race by make ci's chaos-race target.
-func TestRunStudyConfigCancelMidRun(t *testing.T) {
+func TestRunStudyStreamCancelMidRun(t *testing.T) {
 	snaps := studyTail(t, 3)
 	p := testPipeline(DefaultOptions())
 	var wedged timeline.Snapshot
@@ -292,7 +292,7 @@ func TestRunStudyConfigCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestRunStudyConfigCancellation(t *testing.T) {
+func TestRunStudyStreamCancellation(t *testing.T) {
 	snaps := studyTail(t, 2)
 	p := testPipeline(DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())

@@ -13,6 +13,7 @@ import (
 	"offnetscope/internal/corpus"
 	"offnetscope/internal/hg"
 	"offnetscope/internal/netmodel"
+	"offnetscope/internal/obs"
 	"offnetscope/internal/rng"
 	"offnetscope/internal/timeline"
 )
@@ -67,6 +68,14 @@ func (tw *toyWorld) addCert(ip uint32, as astopo.ASN, chain certmodel.Chain) {
 	addr := netmodel.IP(ip)
 	tw.mapper[addr] = []astopo.ASN{as}
 	tw.snap.Certs = append(tw.snap.Certs, corpus.CertRecord{IP: addr, Chain: chain})
+}
+
+// addEyeballCerts adds n records serving chain from consecutive IPs
+// starting at first, spread over the eyeball ASes 2..9.
+func (tw *toyWorld) addEyeballCerts(n int, first uint32, chain certmodel.Chain) {
+	for i := 0; i < n; i++ {
+		tw.addCert(first+uint32(i), astopo.ASN(2+i%8), chain)
+	}
 }
 
 func (tw *toyWorld) addHeaders(ip uint32, https bool, headers ...hg.Header) {
@@ -324,7 +333,7 @@ func TestUnitOrgRenameTracked(t *testing.T) {
 	tw.orgs.Set(1, 14, "Google LLC")
 	tw.addCert(100, 1, tw.leaf("Google LLC", "*.google.com"))
 
-	// Keyword matching spans the rename at any snapshot.
+	// Organization matching spans the rename at any snapshot.
 	for _, s := range []timeline.Snapshot{0, 14, 30} {
 		tw.snap.Snapshot = s
 		// Reissue a chain valid at the early scan time too.
@@ -338,5 +347,80 @@ func TestUnitOrgRenameTracked(t *testing.T) {
 		if got := res.PerHG[hg.Google].OnNetASes; len(got) != 1 || got[0] != 1 {
 			t.Fatalf("at %v on-net ASes = %v", s, got)
 		}
+	}
+}
+
+// TestValidateRangeAllocs pins step 1 at zero allocations per record
+// once the scratch pool is warm: each record's hypergiant set is
+// computed in place, never through a lowercased copy of its
+// organization name.
+func TestValidateRangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch at random under the race detector")
+	}
+	tw := newToyWorld(t)
+	const n = 1000
+	tw.addEyeballCerts(n, 1000, tw.leaf("Google LLC", "*.google.com"))
+	p := tw.pipeline(DefaultOptions())
+	at := tw.snap.ScanTime()
+	var kept int
+	// AllocsPerRun's warm-up call fills the pool with a sized scratch.
+	allocs := testing.AllocsPerRun(20, func() {
+		part := p.validateRange(tw.snap.Certs, at, tw.mapper)
+		kept = len(part.records)
+		p.putShardScratch(part)
+	})
+	if kept != n {
+		t.Fatalf("validateRange kept %d of %d valid records", kept, n)
+	}
+	if allocs != 0 {
+		t.Errorf("validateRange allocated %.0f objects over %d records, want 0", allocs, n)
+	}
+}
+
+// TestUnitMultiHypergiantOrg follows one certificate whose organization
+// names two hypergiants: each hypergiant's pass sees it, while the
+// corpus-wide on/off-net split counts its IP once, under the lower ID.
+func TestUnitMultiHypergiantOrg(t *testing.T) {
+	tw := newToyWorld(t)
+	tw.orgs.Set(10, 0, "Netflix, Inc.")
+	tw.orgs.Set(13, 0, "Akamai Technologies, Inc.")
+	tw.addCert(100, 10, tw.leaf("Netflix, Inc.", "*.nflxvideo.net", "*.shared.example"))
+	tw.addCert(101, 13, tw.leaf("Akamai Technologies, Inc.", "*.akamaized.net", "*.shared.example"))
+	shared := tw.leaf("Akamai for Netflix", "*.shared.example")
+	tw.addCert(200, 2, shared) // off-net for both
+
+	run := func() (*Result, obs.Snapshot) {
+		reg := obs.NewRegistry("multi")
+		p := tw.pipeline(Options{HeaderMode: CertsOnly})
+		p.Metrics = reg
+		return p.Run(tw.snap), reg.Snapshot()
+	}
+	res, m := run()
+	for _, id := range []hg.ID{hg.Netflix, hg.Akamai} {
+		if _, ok := res.PerHG[id].CandidateASes[2]; !ok {
+			t.Errorf("%v pass missed the shared certificate: candidates %v", id, res.PerHG[id].SortedCandidateASes())
+		}
+	}
+	if got := m.Counter("funnel.hg_cert_matches"); got != 2 {
+		t.Errorf("funnel.hg_cert_matches = %d, want 2 (once per hypergiant)", got)
+	}
+	if res.HGOnNetCertIPs != 2 || res.HGOffNetCertIPs != 1 {
+		t.Errorf("on/off-net cert IPs = %d/%d, want 2/1", res.HGOnNetCertIPs, res.HGOffNetCertIPs)
+	}
+
+	// The same certificate inside Akamai's AS: Akamai's pass counts it
+	// on-net, but the corpus-wide split judges it by Netflix, the lower
+	// ID, for which AS 13 is off-net.
+	tw.addCert(300, 13, shared)
+	res, _ = run()
+	if got := res.PerHG[hg.Akamai].OnNetIPs; got != 2 {
+		t.Errorf("Akamai on-net IPs = %d, want 2", got)
+	}
+	if _, ok := res.PerHG[hg.Netflix].CandidateASes[13]; !ok {
+		t.Errorf("Netflix candidates %v miss AS 13", res.PerHG[hg.Netflix].SortedCandidateASes())
+	}
+	if res.HGOnNetCertIPs != 2 || res.HGOffNetCertIPs != 2 {
+		t.Errorf("on/off-net cert IPs = %d/%d, want 2/2", res.HGOnNetCertIPs, res.HGOffNetCertIPs)
 	}
 }

@@ -39,7 +39,7 @@ func TestResolveSteersToLocalOffNet(t *testing.T) {
 	}
 	// The answer IP really is a serving host with a Google certificate.
 	h, ok := testWorld.HostAt(ans.IPs[0], s)
-	if !ok || h.Chain == nil || !h.Chain.Leaf().MatchesOrganization("google") {
+	if !ok || h.Chain == nil || !hg.MatchOrg(h.Chain.Leaf().Subject.Organization).Has(hg.Google) {
 		t.Fatal("DNS answer does not point at a Google server")
 	}
 }

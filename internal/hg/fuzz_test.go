@@ -1,6 +1,9 @@
 package hg
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func FuzzMatchDomain(f *testing.F) {
 	f.Add("*.google.com", "www.google.com")
@@ -39,4 +42,26 @@ func equalFold(a, b string) bool {
 		}
 	}
 	return true
+}
+
+// FuzzMatchOrg checks the classifier against the reference form of the
+// §4.2 rule, one keyword at a time.
+func FuzzMatchOrg(f *testing.F) {
+	f.Add("Google LLC")
+	f.Add("Akamai for Netflix")
+	f.Add("A\u212aAMAI")
+	f.Add("\xffgoogle\xc3")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, org string) {
+		got := MatchOrg(org)
+		for _, h := range All() {
+			want := strings.Contains(strings.ToLower(org), h.Keyword)
+			if got.Has(h.ID) != want {
+				t.Fatalf("MatchOrg(%q).Has(%v) = %v, want %v", org, h.ID, !want, want)
+			}
+		}
+		if got&1 != 0 || got>>numIDs != 0 {
+			t.Fatalf("MatchOrg(%q) = %b sets bits outside the registry", org, got)
+		}
+	})
 }

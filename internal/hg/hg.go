@@ -96,10 +96,10 @@ func (f HeaderFingerprint) Matches(h Header) bool {
 type Hypergiant struct {
 	ID      ID
 	Name    string // display name, e.g. "Google"
-	Keyword string // case-insensitive substring searched in Subject Organization (§4.2)
+	Keyword string // case-insensitive substring MatchOrg searches organization names for (§4.2)
 	// OrgNames are the WHOIS organization name literals over time, used
 	// to locate on-net ASes (§A.2). The simulator registers these names
-	// in the OrgDB; the pipeline greps for Keyword.
+	// in the OrgDB; the pipeline finds them with MatchOrg.
 	OrgNames []string
 	// Domains is the hypergiant's first-party domain pool; certificates
 	// draw their dNSNames from here.

@@ -181,3 +181,51 @@ func TestGetPanicsOnUnknown(t *testing.T) {
 	}()
 	Get(None)
 }
+
+func TestMatchOrg(t *testing.T) {
+	cases := []struct {
+		org  string
+		want []ID
+	}{
+		{"Google LLC", []ID{Google}},
+		{"GOOGLE INC.", []ID{Google}},    // mixed case
+		{"NotGoogleAtAll", []ID{Google}}, // substring
+		{"Netflix, Inc.", []ID{Netflix}},
+		{"Akamai for Netflix", []ID{Netflix, Akamai}},              // two keywords
+		{"A\u212aAMAI Technologies", []ID{Akamai}},                 // Kelvin sign lowercases to k
+		{"Gööglé LLC", nil},                                        // non-ASCII breaks the keyword
+		{strings.Repeat("x", 200) + " Fastly, Inc.", []ID{Fastly}}, // longer than the stack buffer
+		{"Vandelay Industries", nil},
+		{"", nil},
+	}
+	for _, c := range cases {
+		got := MatchOrg(c.org)
+		var want Set
+		for _, id := range c.want {
+			want |= 1 << id
+		}
+		if got != want {
+			t.Errorf("MatchOrg(%q) = %b, want %b", c.org, got, want)
+		}
+	}
+	all := MatchOrg("google netflix facebook akamai alibaba cloudflare amazon cdnetworks limelight apple twitter microsoft hulu disney yahoo chinacache fastly cachefly incapsula cdn77 bamtech highwinds verizon")
+	for _, h := range All() {
+		if !all.Has(h.ID) {
+			t.Errorf("%v missing from the all-keywords set", h.ID)
+		}
+	}
+	for _, id := range []ID{None, -1, numIDs, 99} {
+		if all.Has(id) {
+			t.Errorf("Has(%d) = true outside the registry", id)
+		}
+	}
+}
+
+func BenchmarkMatchOrg(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !MatchOrg("Google LLC").Has(Google) {
+			b.Fatal("no match")
+		}
+	}
+}

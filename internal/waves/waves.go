@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"offnetscope/internal/astopo"
@@ -360,10 +359,10 @@ func (r *Runner) probeBatch(ctx context.Context, batch []Target) []outcome {
 // (§4.1), a chain that verifies (§4.1's invalid-cert rejection), and a
 // header fingerprint match when the hypergiant defines one (§4.5).
 func (r *Runner) classify(ctx context.Context, addr string, cr probe.CertResult) (hg.ID, bool) {
-	org := strings.ToLower(cr.LeafOrganization())
+	hgs := hg.MatchOrg(cr.LeafOrganization())
 	for _, id := range r.cfg.Hypergiants {
 		h := hg.Get(id)
-		if h == nil || !strings.Contains(org, h.Keyword) {
+		if h == nil || !hgs.Has(id) {
 			continue
 		}
 		if !cr.Valid {

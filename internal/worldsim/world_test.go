@@ -35,13 +35,7 @@ func TestWorldConstruction(t *testing.T) {
 				t.Errorf("HGOfOnNetAS(%d) = %v, %v", as, id, ok)
 			}
 			// On-net ASes must be discoverable by org keyword (§A.2).
-			found := false
-			for _, match := range w.Orgs().ASesMatching(h.Keyword, last()) {
-				if match == as {
-					found = true
-				}
-			}
-			if !found {
+			if !hg.MatchOrg(w.Orgs().Name(as, last())).Has(h.ID) {
 				t.Errorf("%v on-net AS %d not found by org keyword", h.ID, as)
 			}
 		}
@@ -178,7 +172,7 @@ func TestOffNetCertsSubsetOfOnNet(t *testing.T) {
 			if err := certmodel.Verify(h.Chain, s.MidTime(), w.TrustStore()); err != nil {
 				t.Fatalf("%v off-net cert invalid: %v", id, err)
 			}
-			if !h.Chain.Leaf().MatchesOrganization(hg.Get(id).Keyword) {
+			if !hg.MatchOrg(h.Chain.Leaf().Subject.Organization).Has(id) {
 				t.Fatalf("%v off-net cert org = %q", id, h.Chain.Leaf().Subject.Organization)
 			}
 			for _, d := range h.Chain.LeafDNSNames() {
@@ -249,17 +243,6 @@ func TestBackgroundValidityMix(t *testing.T) {
 		if h.Chain == nil || !h.HTTPSUp {
 			return true
 		}
-		org := h.Chain.Leaf().Subject.Organization
-		isHG := false
-		for _, x := range hg.All() {
-			if h.Chain.Leaf().MatchesOrganization(x.Keyword) {
-				isHG = true
-			}
-			_ = x
-		}
-		if isHG && org != "" {
-			// skip HG-related hosts; we want the background mix
-		}
 		total++
 		if certmodel.Verify(h.Chain, s.MidTime(), w.TrustStore()) == nil {
 			valid++
@@ -327,7 +310,7 @@ func TestCloudflareCustomerCerts(t *testing.T) {
 		if !ok || h.Chain == nil {
 			t.Fatalf("Cloudflare customer origin at AS %d not responsive", as)
 		}
-		if !h.Chain.Leaf().MatchesOrganization("cloudflare") {
+		if !hg.MatchOrg(h.Chain.Leaf().Subject.Organization).Has(hg.Cloudflare) {
 			t.Fatalf("customer cert org = %q", h.Chain.Leaf().Subject.Organization)
 		}
 		if err := certmodel.Verify(h.Chain, s.MidTime(), w.TrustStore()); err != nil {
