@@ -32,6 +32,7 @@ race:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run=^$$ -fuzz=FuzzCorpusRead -fuzztime=$(FUZZTIME) ./internal/corpus
+	go test -run=^$$ -fuzz=FuzzDecodeLine -fuzztime=$(FUZZTIME) ./internal/corpus
 	go test -run=^$$ -fuzz=FuzzFootstoreDecode -fuzztime=$(FUZZTIME) ./internal/footstore
 	go test -run=^$$ -fuzz=FuzzGenerationManifest -fuzztime=$(FUZZTIME) ./internal/footstore
 	go test -run=^$$ -fuzz=FuzzReadRIB -fuzztime=$(FUZZTIME) ./internal/bgpsim
@@ -86,7 +87,7 @@ bench:
 # post-streaming budget so an alloc regression fails CI, not just a
 # benchmark trend diff.
 bench-smoke:
-	go test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/core
+	go test -bench=. -benchtime=1x -benchmem -run='^$$' . ./internal/core ./internal/corpus
 	go test -bench=. -benchtime=1x -benchmem -short -run='^$$' ./internal/loadgen
 	go test -count=1 -run 'TestA3CertAllocBudget' .
 

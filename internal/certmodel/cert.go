@@ -17,9 +17,8 @@ package certmodel
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -65,25 +64,61 @@ type Certificate struct {
 type Fingerprint uint64
 
 // Fingerprint returns the certificate's content hash, computing and
-// caching it on first use.
+// caching it on first use. The hash is FNV-64a over the fields rendered
+// as "serial|subjOrg|subjCN|issOrg|issCN|dns,names|notBefore|notAfter|
+// isCA|key|signedBy|forged" (decimal integers, Unix seconds, true/false),
+// assembled in a stack buffer, so hashing a certificate of ordinary
+// size allocates nothing.
 func (c *Certificate) Fingerprint() Fingerprint {
 	if fp := c.fingerprint.Load(); fp != 0 {
 		return Fingerprint(fp)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%s|%s|%s|%d|%d|%v|%d|%d|%v",
-		c.SerialNumber,
-		c.Subject.Organization, c.Subject.CommonName,
-		c.Issuer.Organization, c.Issuer.CommonName,
-		strings.Join(c.DNSNames, ","),
-		c.NotBefore.Unix(), c.NotAfter.Unix(), c.IsCA,
-		c.Key, c.SignedBy, c.Forged)
-	fp := h.Sum64()
+	var buf [256]byte
+	b := strconv.AppendUint(buf[:0], c.SerialNumber, 10)
+	for _, s := range [...]string{c.Subject.Organization, c.Subject.CommonName, c.Issuer.Organization, c.Issuer.CommonName} {
+		b = append(b, '|')
+		b = append(b, s...)
+	}
+	b = append(b, '|')
+	for i, n := range c.DNSNames {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, n...)
+	}
+	b = append(b, '|')
+	b = strconv.AppendInt(b, c.NotBefore.Unix(), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, c.NotAfter.Unix(), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, c.IsCA)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(c.Key), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(c.SignedBy), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, c.Forged)
+	fp := fnv64a(b)
 	if fp == 0 {
 		fp = 1
 	}
 	c.fingerprint.Store(fp)
 	return Fingerprint(fp)
+}
+
+// fnv64a is hash/fnv's New64a over b, inlined so the buffer does not
+// escape through the hash.Hash interface.
+func fnv64a(b []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // SelfSigned reports whether the certificate is signed by its own key.
@@ -168,14 +203,42 @@ func (s *TrustStore) Roots() []*Certificate {
 // VerifyError explains why a chain failed §4.1 validation. Reason is one
 // of the Reason* constants; the pipeline aggregates failures by reason to
 // reproduce the paper's "more than one third of hosts returned invalid
-// certificates" statistic.
+// certificates" statistic. The human-readable detail is formatted only
+// by Error(): about a third of all hosts fail validation, and the
+// pipeline reads nothing but the reason.
 type VerifyError struct {
 	Reason string
-	Detail string
+
+	index int       // offending chain position, for the per-certificate reasons
+	when  time.Time // the leaf's validity bound, for expired / not-yet-valid
 }
 
 func (e *VerifyError) Error() string {
-	return "certmodel: invalid chain: " + e.Reason + ": " + e.Detail
+	return "certmodel: invalid chain: " + e.Reason + ": " + e.detail()
+}
+
+func (e *VerifyError) detail() string {
+	switch e.Reason {
+	case ReasonEmptyChain:
+		return "no certificates presented"
+	case ReasonNotYetValid:
+		return "leaf valid from " + e.when.Format(time.RFC3339)
+	case ReasonExpired:
+		return "leaf expired " + e.when.Format(time.RFC3339)
+	case ReasonSelfSigned:
+		return "self-signed end-entity certificate"
+	case ReasonForged:
+		return fmt.Sprintf("certificate %d has an invalid signature", e.index)
+	case ReasonNotCA:
+		return fmt.Sprintf("certificate %d signs but is not a CA", e.index)
+	case ReasonExpiredChain:
+		return fmt.Sprintf("intermediate %d outside validity window", e.index)
+	case ReasonBrokenChain:
+		return fmt.Sprintf("certificate %d not signed by certificate %d", e.index-1, e.index)
+	case ReasonUntrusted:
+		return "chain does not anchor at a trusted root"
+	}
+	return ""
 }
 
 // Chain-verification failure reasons.
@@ -198,42 +261,42 @@ const (
 // trusted root. A nil error means the chain is valid.
 func Verify(ch Chain, at time.Time, store *TrustStore) error {
 	if len(ch) == 0 {
-		return &VerifyError{Reason: ReasonEmptyChain, Detail: "no certificates presented"}
+		return &VerifyError{Reason: ReasonEmptyChain}
 	}
 	leaf := ch[0]
 	if at.Before(leaf.NotBefore) {
-		return &VerifyError{Reason: ReasonNotYetValid, Detail: fmt.Sprintf("leaf valid from %s", leaf.NotBefore.Format(time.RFC3339))}
+		return &VerifyError{Reason: ReasonNotYetValid, when: leaf.NotBefore}
 	}
 	if at.After(leaf.NotAfter) {
-		return &VerifyError{Reason: ReasonExpired, Detail: fmt.Sprintf("leaf expired %s", leaf.NotAfter.Format(time.RFC3339))}
+		return &VerifyError{Reason: ReasonExpired, when: leaf.NotAfter}
 	}
 	if leaf.SelfSigned() {
 		// Anyone can mint a certificate naming any organization; the
 		// paper discards all self-signed end entities.
-		return &VerifyError{Reason: ReasonSelfSigned, Detail: "self-signed end-entity certificate"}
+		return &VerifyError{Reason: ReasonSelfSigned}
 	}
 	for i, c := range ch {
 		if c.Forged {
-			return &VerifyError{Reason: ReasonForged, Detail: fmt.Sprintf("certificate %d has an invalid signature", i)}
+			return &VerifyError{Reason: ReasonForged, index: i}
 		}
 		if i == 0 {
 			continue
 		}
 		if !c.IsCA {
-			return &VerifyError{Reason: ReasonNotCA, Detail: fmt.Sprintf("certificate %d signs but is not a CA", i)}
+			return &VerifyError{Reason: ReasonNotCA, index: i}
 		}
 		if at.Before(c.NotBefore) || at.After(c.NotAfter) {
-			return &VerifyError{Reason: ReasonExpiredChain, Detail: fmt.Sprintf("intermediate %d outside validity window", i)}
+			return &VerifyError{Reason: ReasonExpiredChain, index: i}
 		}
 		if ch[i-1].SignedBy != c.Key {
-			return &VerifyError{Reason: ReasonBrokenChain, Detail: fmt.Sprintf("certificate %d not signed by certificate %d", i-1, i)}
+			return &VerifyError{Reason: ReasonBrokenChain, index: i}
 		}
 	}
 	last := ch[len(ch)-1]
 	if store.Trusted(last.Key) || store.Trusted(last.SignedBy) {
 		return nil
 	}
-	return &VerifyError{Reason: ReasonUntrusted, Detail: "chain does not anchor at a trusted root"}
+	return &VerifyError{Reason: ReasonUntrusted}
 }
 
 // Reason extracts the failure reason from an error returned by Verify,

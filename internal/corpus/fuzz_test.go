@@ -5,8 +5,6 @@ import (
 	"compress/gzip"
 	"strings"
 	"testing"
-
-	"offnetscope/internal/certmodel"
 )
 
 // gzipped compresses raw NDJSON for seeding the fuzzer.
@@ -24,7 +22,7 @@ func gzipped(t testing.TB, raw string) []byte {
 }
 
 // decodeChunked runs the same NDJSON stream through the chunked cert
-// decoder (the readCertChunks shape: shared per-record decoder, one
+// decoder (the readCertChunks shape: one per-file certDecoder, one
 // reused batch buffer) and materializes the yielded batches.
 func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *FileStats, error) {
 	gz, err := gzip.NewReader(bytes.NewReader(input))
@@ -35,12 +33,11 @@ func decodeChunked(input []byte, opts ReadOptions, chunk int) ([]CertRecord, *Fi
 	if chunk <= 0 {
 		chunk = DefaultChunkSize
 	}
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	strs := make(strTable)
+	dec := newCertDecoder()
 	var batch, out []CertRecord
 	fs := &FileStats{Name: "fuzz"}
 	derr := decodeNDJSON(gz, "fuzz", opts, fs, func(line []byte) error {
-		rec, err := decodeCertRecord(line, interned, strs)
+		rec, err := dec.decode(line)
 		if err != nil {
 			return err
 		}

@@ -111,6 +111,20 @@ func (t strTable) intern(s string) string {
 	return s
 }
 
+// internBytes is intern for a decoder's view of the line: the lookup
+// converts without allocating, and only a miss copies the bytes.
+func (t strTable) internBytes(b []byte) string {
+	if t == nil || len(b) == 0 {
+		return string(b)
+	}
+	if v, ok := t[string(b)]; ok {
+		return v
+	}
+	s := string(b)
+	t[s] = s
+	return s
+}
+
 func unixTime(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
 // Dir returns the directory for one (vendor, snapshot) pair under root.
@@ -421,15 +435,22 @@ func decodeCertRecord(line []byte, interned map[certmodel.Fingerprint]*certmodel
 	for i := range w.Chain {
 		c := fromWireCert(w.Chain[i], strs)
 		if i > 0 { // intermediates and roots repeat heavily
-			if known, ok := interned[c.Fingerprint()]; ok {
-				c = known
-			} else {
-				interned[c.Fingerprint()] = c
-			}
+			c = internCert(interned, c)
 		}
 		rec.Chain = append(rec.Chain, c)
 	}
 	return rec, nil
+}
+
+// internCert returns the file read's first certificate with c's
+// fingerprint, registering c when it is the first.
+func internCert(interned map[certmodel.Fingerprint]*certmodel.Certificate, c *certmodel.Certificate) *certmodel.Certificate {
+	fp := c.Fingerprint()
+	if known, ok := interned[fp]; ok {
+		return known
+	}
+	interned[fp] = c
+	return c
 }
 
 // decodeHeaderRecord decodes one header-file line, interning repeated
@@ -492,8 +513,9 @@ func decodeNDJSON(r io.Reader, name string, opts ReadOptions, fs *FileStats, dec
 		return float64(fs.Skipped) > budget*float64(total)
 	}
 	br := bufio.NewReaderSize(r, 1<<16)
+	var long []byte // accumulates a line longer than br's buffer
 	for lineNo := 1; ; lineNo++ {
-		line, rerr := br.ReadBytes('\n')
+		line, rerr := readLine(br, &long)
 		if rerr != nil && rerr != io.EOF {
 			// Stream-level damage (flate corruption, a truncated or
 			// checksum-failing gzip trailer). Any bytes in hand are the
@@ -531,4 +553,22 @@ func decodeNDJSON(r io.Reader, name string, opts ReadOptions, fs *FileStats, dec
 			return nil
 		}
 	}
+}
+
+// readLine returns the next line, delimiter included, like
+// bufio.Reader.ReadBytes, but without copying: the slice aliases br's
+// buffer — or *long, for a line that overflows it — and is valid only
+// until the next call. Decoders never retain line bytes.
+func readLine(br *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	buf := append((*long)[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		buf = append(buf, line...)
+	}
+	*long = buf
+	return buf, err
 }

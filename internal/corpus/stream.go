@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"offnetscope/internal/certmodel"
 	"offnetscope/internal/timeline"
 )
 
@@ -178,14 +177,13 @@ func (e *yieldError) Unwrap() error { return e.err }
 
 // readCertChunks drives one certs file through the shared per-record
 // decoder, accumulating records into a single reused batch buffer and
-// yielding it every chunk records. Interning (fingerprints and strings)
-// spans the whole file.
+// yielding it every chunk records. Interning (fingerprints, strings and
+// raw chain elements) spans the whole file.
 func readCertChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yield func([]CertRecord) error) error {
-	interned := make(map[certmodel.Fingerprint]*certmodel.Certificate)
-	strs := make(strTable)
+	dec := newCertDecoder()
 	batch := make([]CertRecord, 0, chunk)
 	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeCertRecord(line, interned, strs)
+		rec, derr := dec.decode(line)
 		if derr != nil {
 			return derr
 		}
@@ -208,10 +206,10 @@ func readCertChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yie
 }
 
 func readHeaderChunks(path string, opts ReadOptions, fs *FileStats, chunk int, yield func([]HeaderRecord) error) error {
-	strs := make(strTable)
+	dec := newHeaderDecoder()
 	batch := make([]HeaderRecord, 0, chunk)
 	err := readNDJSONFile(path, opts, fs, func(line []byte) error {
-		rec, derr := decodeHeaderRecord(line, strs)
+		rec, derr := dec.decode(line)
 		if derr != nil {
 			return derr
 		}
